@@ -48,7 +48,7 @@ use crate::storage::{SecureStorage, StorageError};
 use crate::toolchain::{mailbox, TaskSource};
 use eampu::{Perms, Region, Rule};
 use rtos::kernel::SyscallOutcome;
-use rtos::stubs::{build_stub_block_with_table, StubBlock, StubKind, StubSpec};
+use rtos::stubs::{shared_stub_block, StubBlock, StubKind, StubSpec};
 use rtos::{layout, Kernel, KernelConfig, KernelError, TaskHandle};
 use sp32::Reg;
 use sp_emu::devices::{Actuator, Sensor, Timer, Uart};
@@ -243,12 +243,47 @@ pub struct FaultRecord {
     pub fault: Fault,
 }
 
+/// The trusted stubs `config` boots with: an interrupt save stub for the
+/// tick, IPC and every device IRQ vector (the wiping Int Mux, or vector
+/// identification only under the hardware context save), and the
+/// argument-preserving syscall stub. The block adds the restore stub and
+/// the idle loop.
+fn trusted_stub_specs(config: &PlatformConfig) -> Vec<StubSpec> {
+    let interrupt = if config.hardware_context_save {
+        // The exception engine saves and wipes in hardware; stubs reduce
+        // to vector identification. Syscall arguments are restored from
+        // the frame by the kernel in this mode.
+        StubKind::HwAssisted
+    } else {
+        StubKind::IntMux
+    };
+    let mut specs = vec![
+        StubSpec {
+            vector: layout::TICK_VECTOR,
+            kind: interrupt,
+        },
+        StubSpec {
+            vector: layout::SYSCALL_VECTOR,
+            kind: StubKind::Syscall,
+        },
+        StubSpec {
+            vector: layout::IPC_VECTOR,
+            kind: interrupt,
+        },
+    ];
+    specs.extend(config.device_irq_vectors.iter().map(|&vector| StubSpec {
+        vector,
+        kind: interrupt,
+    }));
+    specs
+}
+
 /// The booted TyTAN platform. Generic over the measurement hash `D`
 /// (SHA-1 by default, per the paper; pluggable per its footnote 8).
 pub struct Platform<D: Digest = Sha1> {
     machine: Machine,
     kernel: Kernel,
-    stubs: StubBlock,
+    stubs: Arc<StubBlock>,
     actors: TrustedActors,
     allocator: Allocator,
     rtm: Rtm,
@@ -347,40 +382,13 @@ impl<D: Digest> Platform<D> {
             machine.add_device(Box::new(Actuator::new(layout::ACTUATOR_BASE))),
         );
 
-        // Trusted components: Int Mux save stubs (wiping), the syscall
-        // stub (argument-preserving), the restore stub and the idle loop.
-        let (tick_kind, syscall_kind) = if config.hardware_context_save {
-            // The exception engine saves and wipes in hardware; stubs
-            // reduce to vector identification. Syscall arguments are
-            // restored from the frame by the kernel in this mode.
-            (StubKind::HwAssisted, StubKind::Syscall)
-        } else {
-            (StubKind::IntMux, StubKind::Syscall)
-        };
-        let mut specs = vec![
-            StubSpec {
-                vector: layout::TICK_VECTOR,
-                kind: tick_kind,
-            },
-            StubSpec {
-                vector: layout::SYSCALL_VECTOR,
-                kind: syscall_kind,
-            },
-            StubSpec {
-                vector: layout::IPC_VECTOR,
-                kind: tick_kind,
-            },
-        ];
-        for &vector in &config.device_irq_vectors {
-            specs.push(StubSpec {
-                vector,
-                kind: tick_kind,
-            });
-        }
-        let stubs = build_stub_block_with_table(
+        // Trusted components: the manufacturer's boot ROM, assembled once
+        // per layout and shared; every device still copies it into its
+        // own RAM and measures what it copied.
+        let stubs = shared_stub_block(
             layout::TRUSTED_BASE,
             layout::KERNEL_TRAP,
-            &specs,
+            &trusted_stub_specs(&config),
             Some(layout::INT_DISPATCH_TABLE),
         )
         .expect("stub generation is infallible for valid specs");
@@ -412,10 +420,7 @@ impl<D: Digest> Platform<D> {
 
         // Secure boot: measure the trusted components and verify against
         // the manufacturer's reference (the pristine image digest).
-        let mut loaded = vec![0u8; stubs.program.bytes.len()];
-        for (i, byte) in loaded.iter_mut().enumerate() {
-            *byte = machine.read_byte(layout::TRUSTED_BASE + i as u32)?;
-        }
+        let loaded = machine.read_bytes(layout::TRUSTED_BASE, stubs.program.bytes.len() as u32)?;
         let boot_measurement = D::digest(&loaded);
         let reference = D::digest(&stubs.program.bytes);
         if boot_measurement != reference {
@@ -1615,6 +1620,61 @@ mod tests {
         match Platform::<Sha1>::boot(config) {
             Err(PlatformError::SecureBootMeasurementMismatch) => {}
             other => panic!("expected secure-boot failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn secure_boot_still_measures_through_the_shared_rom() {
+        // The stub block is assembled once per process and shared, but
+        // every boot measures the bytes in its own RAM: a tampered boot
+        // between two pristine ones must fail, and must not disturb them.
+        let first = boot();
+        let tampered = Platform::<Sha1>::boot(PlatformConfig {
+            corrupt_trusted_byte: Some(5),
+            ..Default::default()
+        });
+        assert!(
+            matches!(tampered, Err(PlatformError::SecureBootMeasurementMismatch)),
+            "expected secure-boot failure, got {tampered:?}"
+        );
+        let second = boot();
+        assert_eq!(first.boot_measurement(), second.boot_measurement());
+        assert_eq!(
+            first.boot_measurement(),
+            Sha1::digest(&first.stubs().program.bytes).as_slice()
+        );
+    }
+
+    #[test]
+    fn shared_rom_matches_a_fresh_assembly_for_every_layout() {
+        let layouts = [
+            PlatformConfig::default(),
+            PlatformConfig {
+                hardware_context_save: true,
+                ..Default::default()
+            },
+            PlatformConfig {
+                device_irq_vectors: vec![0x28, 0x29],
+                ..Default::default()
+            },
+            PlatformConfig {
+                hardware_context_save: true,
+                device_irq_vectors: vec![0x28],
+                ..Default::default()
+            },
+        ];
+        for config in layouts {
+            let fresh = rtos::stubs::build_stub_block_with_table(
+                layout::TRUSTED_BASE,
+                layout::KERNEL_TRAP,
+                &trusted_stub_specs(&config),
+                Some(layout::INT_DISPATCH_TABLE),
+            )
+            .unwrap();
+            let platform = Platform::<Sha1>::boot(config.clone()).expect("boot");
+            assert_eq!(*platform.stubs(), fresh, "{config:?}");
+            let again = Platform::<Sha1>::boot(config).expect("boot");
+            assert!(std::ptr::eq(platform.stubs(), again.stubs()));
         }
     }
 

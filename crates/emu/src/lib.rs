@@ -7,7 +7,7 @@
 //! IDT. This crate rebuilds that platform in software (the repository's
 //! hardware substitution, see DESIGN.md):
 //!
-//! - [`Machine`] — the core: registers, flat RAM, the EA-MPU (from the
+//! - [`Machine`] — the core: registers, paged RAM, the EA-MPU (from the
 //!   [`eampu`] crate) checked on every guest access and control transfer,
 //!   the IDT-based exception engine, and a cycle counter driven by the
 //!   [`CycleModel`].
@@ -49,6 +49,7 @@ mod device;
 pub mod devices;
 mod engine;
 mod machine;
+mod ram;
 
 pub use cfa::{CfMonitor, CF_LOG_CAP, OUT_OF_REGION};
 pub use cycles::{CycleModel, FirmwareCosts};

@@ -2,6 +2,7 @@
 
 use crate::cycles::{CycleModel, FirmwareCosts};
 use crate::device::Device;
+use crate::ram::Ram;
 use eampu::{AccessKind, EaMpu, TransferDecision};
 use sp32::{decode, Instr, Reg, EFLAGS_CF, EFLAGS_IF, EFLAGS_SF, EFLAGS_ZF};
 use std::collections::BTreeSet;
@@ -62,7 +63,8 @@ pub struct DispatchStamp {
 /// Construction parameters for a [`Machine`].
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Size of flat RAM starting at address 0.
+    /// Size of RAM starting at address 0. RAM is committed in 4 KiB
+    /// pages on first write, so unused capacity costs no host memory.
     pub ram_size: u32,
     /// Number of EA-MPU rule slots (the paper's platform has 18).
     pub mpu_slots: usize,
@@ -265,12 +267,12 @@ pub struct MachineSnapshot {
 
 /// The simulated Siskiyou-Peak-like core.
 ///
-/// A `Machine` owns flat RAM, the MMIO device list, the EA-MPU, the IDT
-/// base register, and the cycle counter. Guest code executes through
-/// [`Machine::run`]; trusted firmware (the RTOS kernel and TyTAN's trusted
-/// components) runs as host code between [`Event::FirmwareTrap`]s, touching
-/// machine state through the accessor API and charging cycles with
-/// [`Machine::tick`].
+/// A `Machine` owns RAM (4 KiB pages committed on first write), the MMIO
+/// device list, the EA-MPU, the IDT base register, and the cycle counter.
+/// Guest code executes through [`Machine::run`]; trusted firmware (the
+/// RTOS kernel and TyTAN's trusted components) runs as host code between
+/// [`Event::FirmwareTrap`]s, touching machine state through the accessor
+/// API and charging cycles with [`Machine::tick`].
 ///
 /// # Examples
 ///
@@ -294,7 +296,7 @@ pub struct Machine {
     eip: u32,
     eflags: u32,
     halted: bool,
-    ram: Vec<u8>,
+    ram: Ram,
     devices: Vec<Box<dyn Device>>,
     mpu: EaMpu,
     mpu_enabled: bool,
@@ -437,7 +439,8 @@ impl fmt::Debug for Machine {
 }
 
 impl Machine {
-    /// Builds a machine from `config` with zeroed RAM and registers.
+    /// Builds a machine from `config` with zeroed registers and all-zero
+    /// RAM (no page committed yet).
     pub fn new(config: MachineConfig) -> Self {
         let fast_caches = config.engine != EngineKind::Legacy;
         let predecode_on = config.engine == EngineKind::Fast;
@@ -450,7 +453,7 @@ impl Machine {
             eip: 0,
             eflags: 0,
             halted: false,
-            ram: vec![0; config.ram_size as usize],
+            ram: Ram::new(config.ram_size),
             devices: Vec::new(),
             mpu,
             mpu_enabled: true,
@@ -679,12 +682,14 @@ impl Machine {
     /// contents produce equal digests, and a single flipped bit changes
     /// the digest with overwhelming probability. Not cryptographic.
     pub fn ram_digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &byte in &self.ram {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        self.ram.digest()
+    }
+
+    /// How many 4 KiB RAM pages this machine has materialised. A page
+    /// commits on its first write; a page never written reads as zero
+    /// and costs no host memory.
+    pub fn committed_ram_pages(&self) -> usize {
+        self.ram.committed_pages()
     }
 
     // ----- registers -----
@@ -805,11 +810,8 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] outside RAM and devices.
     pub fn read_word(&mut self, addr: u32) -> Result<u32, Fault> {
-        if (addr as usize) + 4 <= self.ram.len() {
-            let i = addr as usize;
-            return Ok(u32::from_le_bytes(
-                self.ram[i..i + 4].try_into().expect("4 bytes"),
-            ));
+        if let Some(word) = self.ram.read_u32(addr) {
+            return Ok(word);
         }
         if let Some(dev) = self.device_index_at(addr) {
             let base = self.devices[dev].range().start();
@@ -830,9 +832,7 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] outside RAM and devices.
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), Fault> {
-        if (addr as usize) + 4 <= self.ram.len() {
-            let i = addr as usize;
-            self.ram[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        if self.ram.write_u32(addr, value) {
             self.invalidate_predecode(addr, 4);
             return Ok(());
         }
@@ -856,10 +856,7 @@ impl Machine {
     /// Returns [`Fault::Bus`] outside RAM (byte access to MMIO is not
     /// supported by the bus).
     pub fn read_byte(&mut self, addr: u32) -> Result<u8, Fault> {
-        self.ram
-            .get(addr as usize)
-            .copied()
-            .ok_or(Fault::Bus { addr })
+        self.ram.read_u8(addr).ok_or(Fault::Bus { addr })
     }
 
     /// Writes one byte, bypassing the EA-MPU.
@@ -868,14 +865,11 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] outside RAM.
     pub fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), Fault> {
-        match self.ram.get_mut(addr as usize) {
-            Some(slot) => {
-                *slot = value;
-                self.invalidate_predecode(addr, 1);
-                Ok(())
-            }
-            None => Err(Fault::Bus { addr }),
+        if !self.ram.write_u8(addr, value) {
+            return Err(Fault::Bus { addr });
         }
+        self.invalidate_predecode(addr, 1);
+        Ok(())
     }
 
     /// Copies `len` bytes out of RAM.
@@ -884,12 +878,7 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] if the range leaves RAM.
     pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, Fault> {
-        let start = addr as usize;
-        let end = start.checked_add(len as usize).ok_or(Fault::Bus { addr })?;
-        self.ram
-            .get(start..end)
-            .map(|s| s.to_vec())
-            .ok_or(Fault::Bus { addr })
+        self.ram.read_vec(addr, len).ok_or(Fault::Bus { addr })
     }
 
     /// Copies bytes into RAM (loader path).
@@ -898,16 +887,11 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] if the range leaves RAM.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Fault> {
-        let start = addr as usize;
-        let end = start.checked_add(bytes.len()).ok_or(Fault::Bus { addr })?;
-        match self.ram.get_mut(start..end) {
-            Some(slice) => {
-                slice.copy_from_slice(bytes);
-                self.invalidate_predecode(addr, bytes.len());
-                Ok(())
-            }
-            None => Err(Fault::Bus { addr }),
+        if !self.ram.write_from(addr, bytes) {
+            return Err(Fault::Bus { addr });
         }
+        self.invalidate_predecode(addr, bytes.len());
+        Ok(())
     }
 
     /// Alias of [`Machine::write_bytes`] conveying loader intent.

@@ -5,7 +5,8 @@
 //! per [`EngineKind`], with `Legacy` (the verbatim per-instruction loop)
 //! as the reference — runs them through the same budget slices, and
 //! asserts bit-identical observable state after every slice: clock,
-//! `EIP`, registers, `EFLAGS`, halt state, and statistics.
+//! `EIP`, registers, `EFLAGS`, halt state, statistics, and the RAM
+//! digest.
 //!
 //! The remaining tests pin the cache-invalidation edges: a guest store
 //! into its own cached code line, a guest overwriting a hot loop the
@@ -31,7 +32,7 @@ fn config(engine: EngineKind) -> MachineConfig {
     }
 }
 
-type Snapshot = (u64, u32, [u32; 8], u32, bool, MachineStats);
+type Snapshot = (u64, u32, [u32; 8], u32, bool, MachineStats, u64);
 
 fn snapshot(m: &Machine) -> Snapshot {
     (
@@ -41,6 +42,7 @@ fn snapshot(m: &Machine) -> Snapshot {
         m.eflags(),
         m.is_halted(),
         m.stats(),
+        m.ram_digest(),
     )
 }
 
@@ -94,6 +96,29 @@ fn lockstep_plain_compute_loop() {
             .unwrap();
             m.load_image(0x1000, &program.bytes).unwrap();
             m.set_eip(0x1000);
+        },
+        32,
+        997,
+    );
+}
+
+#[test]
+fn lockstep_instruction_straddling_a_ram_page() {
+    // RAM commits in 4 KiB pages: the 8-byte `movi` at 0x0FFC has its
+    // opcode word on one page and its immediate on the next, so every
+    // engine's fetch (interpreter word reads, translator block decode)
+    // must join the two pages.
+    lockstep(
+        |m| {
+            let program = assemble(
+                "main:\n movi r4, 0x2000\n nop\n\
+                 loop:\n movi r1, 0x12345678\n add r2, r1\n stw [r4], r2\n addi r3, 1\n jmp loop\n",
+                0x0FF0,
+            )
+            .unwrap();
+            assert_eq!(program.symbol("loop"), Some(0x0FFC));
+            m.load_image(0x0FF0, &program.bytes).unwrap();
+            m.set_eip(0x0FF0);
         },
         32,
         997,

@@ -10,8 +10,15 @@
 //! per-device state beyond its [`tytan::attest::VerifierSession`].
 //!
 //! All devices run the same task image, so one [`reference_digest`] boot
-//! provisions the expected measurement for the whole fleet.
+//! provisions the expected measurement for the whole fleet. Work that
+//! depends only on the image is done once per process, the way a factory
+//! builds firmware once: the task is assembled once
+//! ([`fleet_task_source`]) and the trusted boot ROM once (the platform's
+//! shared stub block). What makes a device a device stays per device:
+//! its secure boot copies and measures the ROM in its own RAM, and its
+//! loader copies, relocates and RTM-measures the task.
 
+use std::sync::OnceLock;
 use tytan::attest::{AttestationReport, CfaReport, DeviceId, ATTEST_PURPOSE};
 use tytan::platform::{Platform, PlatformConfig, PlatformError};
 use tytan::toolchain::{SecureTaskBuilder, TaskSource};
@@ -39,16 +46,20 @@ pub fn device_attestation_key(master: &[u8; 20], device: DeviceId) -> SymmetricK
 }
 
 /// The task image every fleet device runs: a counter loop, the same
-/// shape the paper's use case keeps resident.
-pub fn fleet_task_source() -> TaskSource {
-    SecureTaskBuilder::new(
-        "fleet-task",
-        "main:\n movi r1, counter\n\
-         loop:\n ldw r2, [r1]\n addi r2, 1\n stw [r1], r2\n jmp loop\n",
-    )
-    .data("counter:\n .word 0\n")
-    .build()
-    .expect("fleet task assembles")
+/// shape the paper's use case keeps resident. Assembled on first use and
+/// shared by every device, the reference boot and the edge extraction.
+pub fn fleet_task_source() -> &'static TaskSource {
+    static SOURCE: OnceLock<TaskSource> = OnceLock::new();
+    SOURCE.get_or_init(|| {
+        SecureTaskBuilder::new(
+            "fleet-task",
+            "main:\n movi r1, counter\n\
+             loop:\n ldw r2, [r1]\n addi r2, 1\n stw [r1], r2\n jmp loop\n",
+        )
+        .data("counter:\n .word 0\n")
+        .build()
+        .expect("fleet task assembles")
+    })
 }
 
 /// The admissible edge set `tytan-lint` extracts from the fleet task's
@@ -105,7 +116,7 @@ impl DeviceSim {
             ..PlatformConfig::default()
         };
         let mut platform = Platform::boot(config)?;
-        let token = platform.begin_load(&fleet_task_source(), 2);
+        let token = platform.begin_load(fleet_task_source(), 2);
         let (_, task) = platform.wait_load(token, LOAD_BUDGET)?;
         Ok(DeviceSim {
             device,
@@ -221,6 +232,21 @@ mod tests {
             "the looping task must record taken edges"
         );
         assert_eq!(session.submit_cfa(&report, &edges), Ok(()));
+    }
+
+    #[test]
+    fn provisioning_commits_only_the_ram_pages_it_writes() {
+        // Four 4 KiB pages of the 256 in the default 1 MiB: page 0 (IDT
+        // and kernel stack), page 1 (the trusted stub ROM), page 3 (the
+        // Int Mux data and the platform key) and page 4 (the fleet task
+        // with its stack, first in the heap). Running the task touches no
+        // new page. A change that commits RAM eagerly fails here.
+        let mut sim = DeviceSim::provision(DeviceId::from_u64(3), &[1u8; 20]).expect("boots");
+        let pages = |sim: &DeviceSim| sim.platform.machine().committed_ram_pages();
+        assert_eq!(pages(&sim), 4);
+        sim.arm_cfa().expect("task is measured");
+        sim.run(50_000).expect("monitored run");
+        assert_eq!(pages(&sim), 4);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::kernel::{Kernel, KernelConfig, KernelError};
 use crate::layout;
-use crate::stubs::{build_stub_block, StubBlock, StubKind, StubSpec};
+use crate::stubs::{shared_stub_block, StubBlock, StubKind, StubSpec};
 use crate::tcb::{TaskHandle, TaskKind, TcbParams};
 use eampu::Region;
 use sp32::asm::{assemble, AssembleError, Program};
@@ -17,6 +17,7 @@ use sp_emu::devices::{Timer, Uart};
 use sp_emu::{Event, Fault, Machine, MachineConfig};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Construction parameters for the baseline platform.
 #[derive(Debug, Clone)]
@@ -112,7 +113,7 @@ impl From<Fault> for RunnerError {
 pub struct Runner {
     machine: Machine,
     kernel: Kernel,
-    stubs: StubBlock,
+    stubs: Arc<StubBlock>,
     programs: BTreeMap<TaskHandle, Program>,
     next_base: u32,
     started: bool,
@@ -141,7 +142,7 @@ impl Runner {
                 kind: StubKind::Baseline,
             },
         ];
-        let stubs = build_stub_block(layout::KERNEL_BASE, layout::KERNEL_TRAP, &specs)
+        let stubs = shared_stub_block(layout::KERNEL_BASE, layout::KERNEL_TRAP, &specs, None)
             .expect("stub generation is infallible for valid specs");
         machine.load_image(layout::KERNEL_BASE, &stubs.program.bytes)?;
         machine.add_firmware_trap(layout::KERNEL_TRAP);

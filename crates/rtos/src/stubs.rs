@@ -14,9 +14,14 @@
 //!
 //! Each stub ends by loading its vector into `r0` and jumping to the
 //! kernel trap address, where the host-side kernel takes over.
+//!
+//! The stub block is the device's boot ROM: a pure function of its
+//! layout, built once per process by [`shared_stub_block`] and shared by
+//! every platform that boots with that layout.
 
 use sp32::asm::{assemble, AssembleError, Program};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which interrupt-save behaviour a stub implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +48,7 @@ pub struct StubSpec {
 }
 
 /// The assembled stub region with the addresses the kernel needs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StubBlock {
     /// Entry address of the save stub per vector (IDT entries point here).
     pub save_stubs: BTreeMap<u8, u32>,
@@ -116,29 +121,61 @@ fn stub_source(spec: StubSpec, trap: u32, dispatch_table: Option<u32>) -> String
     s
 }
 
+/// The stub block [`build_stub_block_with_table`] assembles for these
+/// arguments, assembled on the first request and shared afterwards.
+///
+/// The assembler output depends on nothing but the arguments, so every
+/// platform booting the same layout gets the same bytes and symbols; the
+/// memo only skips re-running the assembler. A process boots a handful
+/// of distinct layouts at most, so the memo is a short list.
+///
+/// # Errors
+///
+/// Returns the assembler error if generation produced invalid source
+/// (nothing is memoised then).
+pub fn shared_stub_block(
+    base: u32,
+    trap: u32,
+    specs: &[StubSpec],
+    dispatch_table: Option<u32>,
+) -> Result<Arc<StubBlock>, AssembleError> {
+    type Layout = (u32, u32, Vec<StubSpec>, Option<u32>);
+    static ROMS: Mutex<Vec<(Layout, Arc<StubBlock>)>> = Mutex::new(Vec::new());
+    // Entries are pushed whole after a successful build, so a panic while
+    // the lock is held leaves the list valid and a poisoned lock is safe
+    // to reuse.
+    let mut roms = ROMS.lock().unwrap_or_else(PoisonError::into_inner);
+    let hit = roms.iter().find(|((b, t, s, d), _)| {
+        (*b, *t, *d) == (base, trap, dispatch_table) && s.as_slice() == specs
+    });
+    if let Some((_, block)) = hit {
+        return Ok(Arc::clone(block));
+    }
+    let block = Arc::new(build_stub_block_with_table(
+        base,
+        trap,
+        specs,
+        dispatch_table,
+    )?);
+    roms.push((
+        (base, trap, specs.to_vec(), dispatch_table),
+        Arc::clone(&block),
+    ));
+    Ok(block)
+}
+
 /// Assembles the stub region at `base`, with all stubs branching to the
-/// firmware trap at `trap`.
+/// firmware trap at `trap`. With a dispatch table, `IntMux` stubs branch
+/// indirectly through the table (marking the busy flag first) instead of
+/// jumping straight to the kernel trap.
+///
+/// Platforms boot from [`shared_stub_block`], which runs this once per
+/// layout.
 ///
 /// # Errors
 ///
 /// Returns the assembler error if generation produced invalid source
 /// (indicates a bug in the generator, not in caller input).
-pub fn build_stub_block(
-    base: u32,
-    trap: u32,
-    specs: &[StubSpec],
-) -> Result<StubBlock, AssembleError> {
-    build_stub_block_with_table(base, trap, specs, None)
-}
-
-/// Like [`build_stub_block`], with an optional Int Mux dispatch table:
-/// when given, `IntMux` and `Syscall` stubs branch indirectly through the
-/// table (marking the busy flag first) instead of jumping straight to the
-/// kernel trap.
-///
-/// # Errors
-///
-/// Returns the assembler error if generation produced invalid source.
 pub fn build_stub_block_with_table(
     base: u32,
     trap: u32,
@@ -201,7 +238,7 @@ mod tests {
 
     #[test]
     fn builds_all_labels() {
-        let block = build_stub_block(0x400, 0x7fc, &specs()).unwrap();
+        let block = build_stub_block_with_table(0x400, 0x7fc, &specs(), None).unwrap();
         assert_eq!(block.save_stubs.len(), 3);
         assert_eq!(block.wipe_starts.len(), 3);
         assert_eq!(block.branch_starts.len(), 3);
@@ -212,13 +249,14 @@ mod tests {
 
     #[test]
     fn baseline_stub_has_no_wipe_phase() {
-        let block = build_stub_block(
+        let block = build_stub_block_with_table(
             0x400,
             0x7fc,
             &[StubSpec {
                 vector: 32,
                 kind: StubKind::Baseline,
             }],
+            None,
         )
         .unwrap();
         assert!(block.wipe_starts.is_empty());
@@ -228,13 +266,14 @@ mod tests {
 
     #[test]
     fn intmux_wipe_is_six_xors() {
-        let block = build_stub_block(
+        let block = build_stub_block_with_table(
             0x400,
             0x7fc,
             &[StubSpec {
                 vector: 32,
                 kind: StubKind::IntMux,
             }],
+            None,
         )
         .unwrap();
         let wipe_len = block.branch_starts[&32] - block.wipe_starts[&32];
@@ -243,13 +282,14 @@ mod tests {
 
     #[test]
     fn syscall_stub_preserves_argument_registers() {
-        let block = build_stub_block(
+        let block = build_stub_block_with_table(
             0x400,
             0x7fc,
             &[StubSpec {
                 vector: 0x21,
                 kind: StubKind::Syscall,
             }],
+            None,
         )
         .unwrap();
         // Only r4..r6 wiped: 3 xors.
@@ -258,8 +298,25 @@ mod tests {
     }
 
     #[test]
+    fn shared_block_is_assembled_once_per_layout() {
+        let a = shared_stub_block(0x400, 0x7fc, &specs(), Some(0x600)).unwrap();
+        let b = shared_stub_block(0x400, 0x7fc, &specs(), Some(0x600)).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let fresh = build_stub_block_with_table(0x400, 0x7fc, &specs(), Some(0x600)).unwrap();
+        assert_eq!(*a, fresh);
+        // Any layout difference is a different ROM.
+        let untabled = shared_stub_block(0x400, 0x7fc, &specs(), None).unwrap();
+        assert!(!Arc::ptr_eq(&a, &untabled));
+        assert_ne!(a.program.bytes, untabled.program.bytes);
+        let shorter = shared_stub_block(0x400, 0x7fc, &specs()[..2], Some(0x600)).unwrap();
+        assert!(!Arc::ptr_eq(&a, &shorter));
+    }
+
+    #[test]
     fn stubs_fit_in_kernel_region() {
-        let block = build_stub_block(layout::KERNEL_BASE, layout::KERNEL_TRAP, &specs()).unwrap();
+        let block =
+            build_stub_block_with_table(layout::KERNEL_BASE, layout::KERNEL_TRAP, &specs(), None)
+                .unwrap();
         assert!(
             (block.program.bytes.len() as u32) < layout::KERNEL_CODE_LEN - 4,
             "stub block overflows kernel code region"
