@@ -6,7 +6,7 @@
 //!
 //! Workloads:
 //! - `mpu_on` / `mpu_off` — the plain compute loop, with and without
-//!   EA-MPU checking (fast interpreter, the default).
+//!   EA-MPU checking (fast interpreter).
 //! - `mpu_on_translated` / `mpu_off_translated` — the same loops on the
 //!   block translation engine; `mpu_on` vs. `mpu_on_translated` is the
 //!   translator speedup over the interpreter.

@@ -975,9 +975,10 @@ impl<D: Digest> Platform<D> {
     /// calls seal everything recorded since this arm.
     ///
     /// The monitor is a host-side observer: it never ticks the machine
-    /// and never changes a guest-visible outcome (the translated engine
-    /// bypasses its block cache while a monitor is attached, which only
-    /// changes host speed).
+    /// and never changes a guest-visible outcome. Every engine records
+    /// the same edges; the translated engine keeps running compiled
+    /// blocks, which record their taken terminators (see
+    /// [`Machine::attach_cf_monitor`]).
     ///
     /// # Errors
     ///

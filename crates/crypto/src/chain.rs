@@ -191,9 +191,9 @@ pub fn expand_runs(runs: &[(u32, u32, u32)]) -> impl Iterator<Item = (u32, u32)>
 
 /// Batch chain refolder: precomputed-padding single-block folds.
 ///
-/// A run folds a fixed [`RUN_MSG_LEN`]-byte message, short enough that
-/// its padded SHA-1 form is exactly one 64-byte block: message bytes,
-/// the `0x80` terminator, zeros, and the constant 256-bit length field.
+/// A run folds a fixed 32-byte message (head ‖ from ‖ to ‖ count),
+/// short enough that its padded SHA-1 form is exactly one 64-byte
+/// block: message bytes, the `0x80` terminator, zeros, and the constant 256-bit length field.
 /// The refolder formats that block once and rewrites only the first 32
 /// bytes per fold, invoking the compression function directly. Shared
 /// across a verifier flush batch, refolding a report is then one

@@ -107,39 +107,20 @@ mod tests {
         for kind in [EngineKind::Legacy, EngineKind::Fast, EngineKind::Translated] {
             let core = core_for(kind);
             assert_eq!(core.kind(), kind);
-            assert_eq!(engine_from_env(Some(core.name()), None), kind);
+            assert_eq!(engine_from_env(Some(core.name())), kind);
         }
     }
 
     #[test]
-    fn exec_engine_selector_and_fast_path_alias() {
-        // TYTAN_EXEC_ENGINE wins, whatever the deprecated alias says.
-        assert_eq!(
-            engine_from_env(Some("legacy"), Some("1")),
-            EngineKind::Legacy
-        );
-        assert_eq!(
-            engine_from_env(Some("translated"), Some("0")),
-            EngineKind::Translated
-        );
-        assert_eq!(engine_from_env(Some("fast"), None), EngineKind::Fast);
-        // Unknown values fall back to the default engine.
-        assert_eq!(engine_from_env(Some("turbo"), None), EngineKind::Fast);
-        assert_eq!(
-            engine_from_env(Some(" translated "), None),
-            EngineKind::Translated
-        );
-
-        // Deprecated TYTAN_FAST_PATH alias: disabling it selects the
-        // legacy loop, anything else (including unset) the fast engine.
-        // Pinned so the alias keeps working for existing harness configs.
-        for off in ["0", "false", "off", "no", " off "] {
-            assert_eq!(engine_from_env(None, Some(off)), EngineKind::Legacy);
+    fn exec_engine_selector_defaults_to_the_translator() {
+        assert_eq!(engine_from_env(Some("legacy")), EngineKind::Legacy);
+        assert_eq!(engine_from_env(Some(" fast ")), EngineKind::Fast);
+        assert_eq!(engine_from_env(Some("translated")), EngineKind::Translated);
+        // Unset and unknown values fall back to the default engine.
+        assert_eq!(engine_from_env(None), EngineKind::Translated);
+        for unknown in ["turbo", "", "0", "off"] {
+            assert_eq!(engine_from_env(Some(unknown)), EngineKind::Translated);
         }
-        for on in ["1", "true", "on", "yes", ""] {
-            assert_eq!(engine_from_env(None, Some(on)), EngineKind::Fast);
-        }
-        assert_eq!(engine_from_env(None, None), EngineKind::Fast);
     }
 
     #[test]

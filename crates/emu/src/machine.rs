@@ -109,48 +109,37 @@ pub enum EngineKind {
     /// all host-side caches (predecode, EA-MPU decision cache) off.
     Legacy,
     /// The event-driven interpreter fast path: predecode cache, EA-MPU
-    /// decision cache, batched stepping between boundaries. The default.
+    /// decision cache, batched stepping between boundaries.
     Fast,
     /// The block translation engine: basic blocks discovered at execution
     /// time are compiled to threaded code with pre-decoded operands,
     /// pre-summed cycle costs and pre-resolved EA-MPU decisions, cached
     /// by entry address, invalidated on self-modifying writes and any
     /// MPU/platform reconfiguration. Falls back to [`Machine::step`]
-    /// wherever a block cannot be (or is not worth) compiling.
+    /// wherever a block cannot be (or is not worth) compiling. The
+    /// default.
     Translated,
 }
 
-/// Resolves the engine choice from environment-variable values: the
-/// `TYTAN_EXEC_ENGINE` setting (`legacy`/`fast`/`translated`) wins, with
-/// the older boolean `TYTAN_FAST_PATH` (`0`/`false`/`off`/`no` meaning
-/// legacy) kept as a deprecated alias. Unset (or unrecognised) values
-/// fall through to the default, [`EngineKind::Fast`].
-pub fn engine_from_env(exec_engine: Option<&str>, fast_path: Option<&str>) -> EngineKind {
-    if let Some(v) = exec_engine {
-        return match v.trim() {
-            "legacy" => EngineKind::Legacy,
-            "translated" => EngineKind::Translated,
-            _ => EngineKind::Fast,
-        };
-    }
-    match fast_path {
-        Some(v) if matches!(v.trim(), "0" | "false" | "off" | "no") => EngineKind::Legacy,
-        _ => EngineKind::Fast,
+/// Resolves the engine choice from the `TYTAN_EXEC_ENGINE` value
+/// (`legacy`/`fast`/`translated`). Unset or unrecognised values fall
+/// through to the default, [`EngineKind::Translated`].
+pub fn engine_from_env(exec_engine: Option<&str>) -> EngineKind {
+    match exec_engine.map(str::trim) {
+        Some("legacy") => EngineKind::Legacy,
+        Some("fast") => EngineKind::Fast,
+        _ => EngineKind::Translated,
     }
 }
 
 /// Default for [`MachineConfig::engine`], resolved once per process from
-/// `TYTAN_EXEC_ENGINE` / `TYTAN_FAST_PATH` (see [`engine_from_env`]). CI
-/// runs the whole workspace test suite once per engine so every loop
-/// stays exercised end-to-end; the result is cached for the process
-/// because a test binary must not see the default flip mid-run.
+/// `TYTAN_EXEC_ENGINE` (see [`engine_from_env`]). CI runs the whole
+/// workspace test suite once per engine so every loop stays exercised
+/// end-to-end; the result is cached for the process because a test
+/// binary must not see the default flip mid-run.
 fn engine_default() -> EngineKind {
     static ENGINE: OnceLock<EngineKind> = OnceLock::new();
-    *ENGINE.get_or_init(|| {
-        let exec = std::env::var("TYTAN_EXEC_ENGINE").ok();
-        let fast = std::env::var("TYTAN_FAST_PATH").ok();
-        engine_from_env(exec.as_deref(), fast.as_deref())
-    })
+    *ENGINE.get_or_init(|| engine_from_env(std::env::var("TYTAN_EXEC_ENGINE").ok().as_deref()))
 }
 
 /// A hardware fault raised during execution.
@@ -551,15 +540,13 @@ impl Machine {
     ///
     /// Monitoring is an observer only: it never advances the clock and
     /// never changes an outcome, so the monitored run's cycles and
-    /// architectural state are bit-identical with or without it. On the
-    /// translated engine the block cache is bypassed while a monitor is
-    /// attached — every instruction retires through the interpreter's
-    /// step path, where edges are observed — which changes host speed
-    /// but no guest-visible observable.
+    /// architectural state are bit-identical with or without it. Every
+    /// engine records at the same point: [`Machine::step`] as a taken
+    /// edge retires, and the translated engine's compiled blocks as
+    /// their terminator retires (blocks end at every control transfer,
+    /// so no edge hides inside one). Compiled blocks do not depend on
+    /// the monitor and stay cached across attach and detach.
     pub fn attach_cf_monitor(&mut self, region: eampu::Region) {
-        // Compiled blocks retire whole blocks without surfacing their
-        // interior edges; drop them so execution funnels through `step`.
-        self.tcache.flush();
         self.cf_monitor = Some(crate::cfa::CfMonitor::new(region));
     }
 
@@ -568,8 +555,7 @@ impl Machine {
         self.cf_monitor.as_ref()
     }
 
-    /// Detaches and returns the control-flow monitor, if any. The
-    /// translated engine resumes block caching on the next run.
+    /// Detaches and returns the control-flow monitor, if any.
     pub fn take_cf_monitor(&mut self) -> Option<crate::cfa::CfMonitor> {
         self.cf_monitor.take()
     }
@@ -1718,9 +1704,9 @@ mod tests {
         use std::sync::Arc;
         use tytan_trace::RingRecorder;
 
-        // Pin the fast path on: the predecode-coverage assertions below are
-        // about the cache, which the legacy loop (TYTAN_FAST_PATH=0 in the
-        // CI matrix) legitimately never consults.
+        // Pin the fast interpreter: the predecode-coverage assertions
+        // below are about its cache, which the legacy loop and the
+        // translator (the default engine) never consult.
         let build = |src: &str| {
             let mut m = Machine::new(MachineConfig {
                 engine: EngineKind::Fast,

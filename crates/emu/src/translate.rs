@@ -32,12 +32,20 @@
 //!   snapshot revalidated on entry to `run_translated`; any mismatch
 //!   drops all blocks (counted as `emu_block_invalidate_mpu`).
 //! - **Self-modifying-code tracking.** Pages (512 bytes) spanned by
-//!   compiled blocks are marked in a bitmap; every RAM write into a
-//!   marked page queues a dirty range ([`TransState::note_code_write`],
-//!   hooked into the machine's write paths next to the predecode
-//!   invalidation). Dirty ranges break the block batch and drop
-//!   overlapping blocks (counted as `emu_block_invalidate_smc`) before
-//!   the next block executes.
+//!   compiled blocks are marked in a bitmap, and each marked page keeps
+//!   a mask of the 4-byte words some block's code covers. A RAM write
+//!   into a covered word queues a dirty range
+//!   ([`TransState::note_code_write`], hooked into the machine's write
+//!   paths next to the predecode invalidation); writes to data words
+//!   that merely share a page with code do not. Dirty ranges break the
+//!   block batch and drop overlapping blocks (counted as
+//!   `emu_block_invalidate_smc`) before the next block executes.
+//!
+//! Compiled blocks feed an attached control-flow monitor exactly where
+//! [`Machine::step`] does: every taken edge whose epilogue transfer
+//! check passed is recorded as the op retires. Blocks end at every
+//! control transfer, so only a block's terminator can record, and a
+//! chained self-loop records once per iteration.
 //!
 //! Anything a block cannot express — `Int`/`Iret` (interrupt frames,
 //! resume latches, IRQ trace spans), undecodable or unfetchable code,
@@ -80,7 +88,12 @@ impl Hasher for EntryHasher {
 /// The translation cache: compiled blocks keyed by entry address.
 pub(crate) type BlockMap = HashMap<u32, TBlock, BuildHasherDefault<EntryHasher>>;
 
-/// log2 of the SMC-tracking page size.
+/// Code-word masks of the marked SMC pages, keyed by page number: bit
+/// `i` is set when a compiled block covers the page's `i`-th word.
+type WordMasks = HashMap<u32, u128, BuildHasherDefault<EntryHasher>>;
+
+/// log2 of the SMC-tracking page size. A page holds 128 words, one bit
+/// each of a [`WordMasks`] entry.
 const PAGE_SHIFT: u32 = 9;
 
 /// Longest straight-line run compiled into one block.
@@ -194,8 +207,10 @@ pub(crate) struct TransState {
     /// True when any bit in `pages` is set — the one-compare guard on
     /// the RAM-write hot path.
     any_pages: bool,
-    /// Write ranges `[start, end)` that hit marked pages; drained (and
-    /// overlapping blocks dropped) at batch boundaries.
+    /// The covered code words of every page marked in `pages`.
+    code_words: WordMasks,
+    /// Write ranges `[start, end)` that hit covered code words; drained
+    /// (and overlapping blocks dropped) at batch boundaries.
     dirty: Vec<(u32, u32)>,
     /// The snapshot current blocks were compiled under.
     snap: Option<Snap>,
@@ -208,6 +223,7 @@ impl TransState {
             blocks: BlockMap::default(),
             pages: vec![0; pages.div_ceil(64)],
             any_pages: false,
+            code_words: WordMasks::default(),
             dirty: Vec::new(),
             snap: None,
         }
@@ -223,14 +239,18 @@ impl TransState {
 
     fn reset_pages(&mut self) {
         self.pages.fill(0);
+        self.code_words.clear();
         self.any_pages = false;
     }
 
+    /// Marks the code bytes `[start, end)` of a compiled block: the
+    /// pages in the bitmap, the words in each page's mask.
     fn mark_pages(&mut self, start: u32, end: u32) {
         let last = end.saturating_sub(1);
         for page in (start >> PAGE_SHIFT)..=(last >> PAGE_SHIFT) {
             if let Some(word) = self.pages.get_mut(page as usize / 64) {
                 *word |= 1u64 << (page % 64);
+                *self.code_words.entry(page).or_default() |= word_mask(page, start, last);
             }
         }
         self.any_pages = true;
@@ -245,14 +265,19 @@ impl TransState {
     /// Notes a RAM write of `last_offset + 1` bytes at `addr` (called
     /// from the machine's write paths, beside the predecode
     /// invalidation). Queues a dirty range when the write touches a
-    /// page spanned by compiled code.
+    /// word covered by compiled code; the page bitmap filters first.
     pub(crate) fn note_code_write(&mut self, addr: u32, last_offset: u32) {
         if !self.any_pages {
             return;
         }
         let last = addr.saturating_add(last_offset);
         for page in (addr >> PAGE_SHIFT)..=(last >> PAGE_SHIFT) {
-            if self.page_marked(page) {
+            if self.page_marked(page)
+                && self
+                    .code_words
+                    .get(&page)
+                    .is_some_and(|mask| mask & word_mask(page, addr, last) != 0)
+            {
                 self.dirty.push((addr, last.saturating_add(1)));
                 return;
             }
@@ -265,6 +290,20 @@ impl TransState {
             self.mark_pages(block.entry, block.end);
         }
     }
+}
+
+/// The words of `page` that the bytes `[start, last]` touch, as a
+/// [`WordMasks`] bit mask (empty when the range misses the page).
+fn word_mask(page: u32, start: u32, last: u32) -> u128 {
+    let page_first = page << PAGE_SHIFT;
+    let page_last = page_first | ((1 << PAGE_SHIFT) - 1);
+    let (lo, hi) = (start.max(page_first), last.min(page_last));
+    if lo > hi {
+        return 0;
+    }
+    let first_word = (lo - page_first) >> 2;
+    let words = ((hi - page_first) >> 2) - first_word + 1;
+    (u128::MAX >> (128 - words)) << first_word
 }
 
 impl Machine {
@@ -606,14 +645,6 @@ impl Machine {
     /// Executes at `self.eip`: a cached block, a freshly compiled one,
     /// or a single interpreted step when no block can start here.
     fn exec_at(&mut self, blocks: &mut BlockMap, step_limit: u64) -> Result<(), Fault> {
-        // A control-flow monitor needs to see every taken edge, and
-        // compiled blocks retire interior edges without surfacing them:
-        // bypass the block cache entirely while one is attached (the
-        // attach already flushed compiled blocks). Host speed changes,
-        // guest observables do not.
-        if self.cf_monitor.is_some() {
-            return self.step();
-        }
         let eip = self.eip;
         if let Some(block) = blocks.get(&eip) {
             if let Some(t) = &self.trace {
@@ -761,6 +792,17 @@ fn apply_pre(m: &mut Machine, op: &TOp, pre: PreCheck, next: u32) -> Result<(), 
     }
 }
 
+/// Feeds a taken edge whose epilogue check passed to the control-flow
+/// monitor, if one is attached — the point where [`Machine::step`]
+/// records. Compiled ops never include `Int`/`Iret`, the two edges
+/// `step` keeps from the monitor.
+#[inline]
+fn record_edge(m: &mut Machine, from: u32, to: u32) {
+    if let Some(monitor) = &mut m.cf_monitor {
+        monitor.record(from, to);
+    }
+}
+
 /// Runs `block` until it ends, faults, or hits a batch-break condition.
 /// On `Err` the machine's `EIP` is exactly where [`Machine::step`] would
 /// leave it: compiled handlers never move `EIP` (the epilogue maintains
@@ -803,11 +845,12 @@ fn exec_block(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fa
                 let Ok(OpExit::Cont(next, taken)) = (op.run)(m, op) else {
                     unreachable!("lean ops retire normally");
                 };
-                clock += if taken {
-                    op.cost_taken
+                if taken {
+                    clock += op.cost_taken;
+                    record_edge(m, op.pc, next);
                 } else {
-                    op.cost_not_taken
-                };
+                    clock += op.cost_not_taken;
+                }
                 retired += 1;
                 eip = next;
                 if clock >= step_limit {
@@ -853,6 +896,9 @@ fn exec_block(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fa
                         };
                         if let Err(fault) = apply_pre(m, op, pre, next) {
                             break 'run Err(fault);
+                        }
+                        if taken {
+                            record_edge(m, op.pc, next);
                         }
                         clock += cost;
                         retired += 1;
@@ -900,6 +946,9 @@ fn exec_block_observed(m: &mut Machine, block: &TBlock, step_limit: u64) -> Resu
                 }
                 if let Some(o) = &m.observer {
                     o.instruction(op.pc, cost);
+                }
+                if taken {
+                    record_edge(m, op.pc, next);
                 }
                 m.eip = next;
                 if m.clock >= step_limit {
@@ -1118,4 +1167,59 @@ fn op_sti(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
 fn op_cli(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
     m.eflags &= !sp32::EFLAGS_IF;
     Ok(OpExit::Cont(op.fallthrough, false))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn word_mask_covers_the_touched_words_of_one_page() {
+        // Page 8 spans 0x1000..=0x11FF, words 0..=127.
+        assert_eq!(word_mask(8, 0x1000, 0x1003), 1);
+        assert_eq!(word_mask(8, 0x1002, 0x1005), 0b11);
+        assert_eq!(word_mask(8, 0x0FFE, 0x1001), 1);
+        assert_eq!(word_mask(8, 0x11FE, 0x1201), 1 << 127);
+        assert_eq!(word_mask(8, 0, u32::MAX), u128::MAX);
+        assert_eq!(word_mask(8, 0x1200, 0x1203), 0);
+        assert_eq!(word_mask(8, 0x0F00, 0x0FFF), 0);
+    }
+
+    #[test]
+    fn only_writes_to_covered_code_words_queue_dirty_ranges() {
+        let mut t = TransState::new(1 << 16);
+        t.mark_pages(0x1000, 0x1010);
+        // Data words on the code page.
+        t.note_code_write(0x1010, 3);
+        t.note_code_write(0x11FC, 3);
+        assert!(t.dirty.is_empty());
+        // The last code byte.
+        t.note_code_write(0x100F, 0);
+        assert_eq!(t.dirty, [(0x100F, 0x1010)]);
+        t.dirty.clear();
+        // A word straddling two pages that hits code only on the second.
+        t.mark_pages(0x1200, 0x1208);
+        t.note_code_write(0x11FE, 3);
+        assert_eq!(t.dirty, [(0x11FE, 0x1202)]);
+        t.flush();
+        t.note_code_write(0x1000, 3);
+        assert!(t.dirty.is_empty());
+    }
+
+    #[test]
+    fn rebuilt_masks_cover_surviving_blocks_only() {
+        let mut t = TransState::new(1 << 16);
+        let block = |entry: u32, end: u32| TBlock {
+            entry,
+            end,
+            ops: Vec::new(),
+        };
+        t.mark_pages(0x1000, 0x1008);
+        t.mark_pages(0x1100, 0x1108);
+        t.rebuild_pages([block(0x1100, 0x1108)].iter());
+        t.note_code_write(0x1000, 7);
+        assert!(t.dirty.is_empty(), "dropped block still tracked");
+        t.note_code_write(0x1104, 0);
+        assert_eq!(t.dirty, [(0x1104, 0x1105)]);
+    }
 }

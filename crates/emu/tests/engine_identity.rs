@@ -1,25 +1,28 @@
 //! Differential tests: the execution engines (fast interpreter and block
 //! translator) must be invisible to the model.
 //!
-//! Each lockstep test builds three identically-configured machines — one
-//! per [`EngineKind`], with `Legacy` (the verbatim per-instruction loop)
-//! as the reference — runs them through the same budget slices, and
-//! asserts bit-identical observable state after every slice: clock,
-//! `EIP`, registers, `EFLAGS`, halt state, statistics, and the RAM
-//! digest.
+//! Each lockstep test builds identically-configured machines — `Legacy`
+//! (the verbatim per-instruction loop) as the reference, plus the fast
+//! and translated engines each with and without a tracer — runs them
+//! through the same budget slices, and asserts bit-identical observable
+//! state after every slice: clock, `EIP`, registers, `EFLAGS`, halt
+//! state, statistics, the RAM digest, and the control-flow monitor's
+//! log, edge count, truncation flag and chain head when one is attached.
 //!
 //! The remaining tests pin the cache-invalidation edges: a guest store
 //! into its own cached code line, a guest overwriting a hot loop the
 //! translator has compiled, a loader-style `write_bytes` rewriting
 //! cached text, breakpoint (firmware trap) add/remove mid-run, EA-MPU
 //! rule mutation between two identical accesses, and an EA-MPU window
-//! reconfiguration between two executions of the same translated block.
+//! reconfiguration between two executions of the same translated block,
+//! and the precision of the translator's self-modifying-code tracking
+//! (data stores beside code keep blocks cached; code stores do not).
 
 use eampu::{Perms, Region, Rule};
 use sp32::asm::assemble;
 use sp32::Reg;
 use sp_emu::devices::{Sensor, Timer};
-use sp_emu::{EngineKind, Event, Fault, Machine, MachineConfig, MachineStats};
+use sp_emu::{EngineKind, Event, Fault, Machine, MachineConfig, MachineStats, CF_LOG_CAP};
 use std::sync::Arc;
 use tytan_trace::{RingRecorder, Tracer};
 
@@ -32,7 +35,20 @@ fn config(engine: EngineKind) -> MachineConfig {
     }
 }
 
-type Snapshot = (u64, u32, [u32; 8], u32, bool, MachineStats, u64);
+/// A control-flow monitor's observable state: run-encoded log, raw
+/// edge count, truncation flag, chain head.
+type MonitorState = (Vec<(u32, u32, u32)>, u64, bool, Vec<u8>);
+
+type Snapshot = (
+    u64,
+    u32,
+    [u32; 8],
+    u32,
+    bool,
+    MachineStats,
+    u64,
+    Option<MonitorState>,
+);
 
 fn snapshot(m: &Machine) -> Snapshot {
     (
@@ -43,25 +59,40 @@ fn snapshot(m: &Machine) -> Snapshot {
         m.is_halted(),
         m.stats(),
         m.ram_digest(),
+        m.cf_monitor().map(|c| {
+            (
+                c.runs().to_vec(),
+                c.edges(),
+                c.truncated(),
+                c.chain_head().to_vec(),
+            )
+        }),
     )
 }
 
-/// Runs the same setup on one machine per engine, then executes `chunks`
-/// budget slices of `budget` cycles each, asserting identical events and
-/// machine state after every slice (legacy is the reference).
+/// Runs the same setup on one reference machine and four participants,
+/// then executes `chunks` budget slices of `budget` cycles each,
+/// asserting identical events and machine state after every slice
+/// (legacy is the reference). Returns the reference machine for
+/// end-state checks.
 ///
-/// The fast and translated machines additionally run with an event
-/// recorder attached (the legacy machine stays untraced), so every
-/// lockstep test doubles as a cycle-neutrality proof for the tracing
-/// layer: if recording an event or bumping a counter ever touched the
-/// model, these snapshots would diverge.
-fn lockstep(setup: impl Fn(&mut Machine), chunks: usize, budget: u64) {
+/// The fast and translated engines each run twice: untraced, and with
+/// an event recorder attached. The untraced translated machine takes
+/// the lean block loop, the traced one the fully instrumented loop, so
+/// both block paths are held to the reference; and every lockstep test
+/// doubles as a cycle-neutrality proof for the tracing layer: if
+/// recording an event or bumping a counter ever touched the model,
+/// these snapshots would diverge.
+fn lockstep(setup: impl Fn(&mut Machine), chunks: usize, budget: u64) -> Machine {
     let mut legacy = Machine::new(config(EngineKind::Legacy));
     let mut others: Vec<Machine> = [EngineKind::Fast, EngineKind::Translated]
         .into_iter()
-        .map(|engine| {
+        .flat_map(|engine| [(engine, false), (engine, true)])
+        .map(|(engine, traced)| {
             let mut m = Machine::new(config(engine));
-            m.attach_tracer(Tracer::new(Arc::new(RingRecorder::new(4096))));
+            if traced {
+                m.attach_tracer(Tracer::new(Arc::new(RingRecorder::new(4096))));
+            }
             m
         })
         .collect();
@@ -74,14 +105,19 @@ fn lockstep(setup: impl Fn(&mut Machine), chunks: usize, budget: u64) {
         for m in &mut others {
             let e = m.run(budget);
             let engine = m.engine();
-            assert_eq!(e, el, "{engine:?}: event diverged at slice {i}");
+            let traced = m.tracer().is_some();
+            assert_eq!(
+                e, el,
+                "{engine:?} (traced: {traced}): event diverged at slice {i}"
+            );
             assert_eq!(
                 snapshot(m),
                 snapshot(&legacy),
-                "{engine:?}: state diverged at slice {i}"
+                "{engine:?} (traced: {traced}): state diverged at slice {i}"
             );
         }
     }
+    legacy
 }
 
 #[test]
@@ -579,4 +615,202 @@ fn cf_monitor_chains_are_engine_invariant() {
     for m in &machines[1..] {
         assert_eq!(snapshot(m), s0, "{:?}: state diverged", m.engine());
     }
+}
+
+#[test]
+fn lockstep_monitored_self_loop_preempted_by_timer() {
+    // A chained self-loop under a control-flow monitor, preempted by a
+    // periodic timer IRQ. Interrupt entries and exits are invisible to
+    // the monitor, so every engine must log the same single run of
+    // loop back-edges, wherever its batching lets the IRQ in.
+    let reference = lockstep(
+        |m| {
+            let program = assemble(
+                "main:\n sti\nloop:\n addi r2, 1\n jmp loop\n\
+                 handler:\n addi r3, 1\n iret\n",
+                0x1000,
+            )
+            .unwrap();
+            let handler = program.symbol("handler").unwrap();
+            m.load_image(0x1000, &program.bytes).unwrap();
+            m.set_eip(0x1000);
+            m.set_reg(Reg::R7, 0x8000);
+            m.set_idt_base(0x40);
+            m.set_idt_entry(32, handler).unwrap();
+            let timer = m.add_device(Box::new(Timer::new(0xf000_0000, 32)));
+            m.device_mut::<Timer>(timer).unwrap().configure(197, true);
+            m.attach_cf_monitor(Region::new(0x1000, 0x100));
+        },
+        64,
+        1_003,
+    );
+    assert!(
+        reference.reg(Reg::R3) > 0,
+        "the timer never preempted the loop"
+    );
+    let monitor = reference.cf_monitor().expect("monitor armed");
+    assert_eq!(
+        monitor.runs().len(),
+        1,
+        "IRQ entry/exit leaked into the log"
+    );
+    assert_eq!(u64::from(monitor.runs()[0].2), monitor.edges());
+    assert_eq!(u64::from(reference.reg(Reg::R2)), monitor.edges());
+}
+
+#[test]
+fn lockstep_monitor_truncates_inside_a_chained_self_loop() {
+    // The loop takes more back-edges than `CF_LOG_CAP`, so the monitor
+    // freezes mid-loop — inside a run of chained block iterations on
+    // the translator. Every engine must stop logging at the same edge
+    // and carry on executing identically.
+    let iterations = CF_LOG_CAP as u32 + 4_000;
+    let source = format!(
+        "main:\n movi r5, {iterations}\n movi r2, 0\n\
+         loop:\n addi r2, 1\n cmp r2, r5\n jnz loop\n hlt\n"
+    );
+    let reference = lockstep(
+        |m| {
+            let program = assemble(&source, 0x1000).unwrap();
+            m.load_image(0x1000, &program.bytes).unwrap();
+            m.set_eip(0x1000);
+            m.attach_cf_monitor(Region::new(0x1000, 0x100));
+        },
+        48,
+        30_011,
+    );
+    assert!(reference.is_halted(), "the loop never finished");
+    assert_eq!(reference.reg(Reg::R2), iterations);
+    let monitor = reference.cf_monitor().expect("monitor armed");
+    assert!(monitor.truncated());
+    assert_eq!(monitor.edges(), CF_LOG_CAP as u64);
+}
+
+#[test]
+fn lockstep_monitored_loop_body_overwrite() {
+    // A monitored hot loop counts to 1000, then patches its own body
+    // from `addi r3, 1` to `addi r3, 2` and runs again. The second pass
+    // takes 499 back-edges, not the stale code's 999: every engine must
+    // log exactly the patched run.
+    let patched = assemble("addi r3, 2\n", 0).unwrap();
+    let word = u32::from_le_bytes(patched.bytes[0..4].try_into().unwrap());
+    let source = format!(
+        "main:\n movi r1, target\n movi r2, {word:#010x}\n movi r3, 0\n movi r4, 0\n\
+         loop:\ntarget:\n addi r3, 1\n cmpi r3, 1000\n jnz loop\n\
+         addi r4, 1\n cmpi r4, 2\n jz done\n\
+         stw [r1], r2\n movi r3, 0\n jmp loop\n\
+         done:\n hlt\n"
+    );
+    let reference = lockstep(
+        |m| {
+            let program = assemble(&source, 0x1000).unwrap();
+            m.load_image(0x1000, &program.bytes).unwrap();
+            m.set_eip(0x1000);
+            m.attach_cf_monitor(Region::new(0x1000, 0x100));
+        },
+        24,
+        1_013,
+    );
+    assert!(reference.is_halted(), "the patched loop never finished");
+    let monitor = reference.cf_monitor().expect("monitor armed");
+    let counts: Vec<u32> = monitor.runs().iter().map(|r| r.2).collect();
+    assert_eq!(counts, [999, 1, 499, 1], "back-edge runs of the two passes");
+}
+
+/// Runs `source` (after `extra` setup) to completion on a traced
+/// translated machine; returns the machine and its tracer.
+fn translated_counters(source: &str, extra: impl Fn(&mut Machine)) -> (Machine, Tracer) {
+    let mut m = Machine::new(config(EngineKind::Translated));
+    let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
+    m.attach_tracer(tracer.clone());
+    let program = assemble(source, 0x1000).unwrap();
+    m.load_image(0x1000, &program.bytes).unwrap();
+    m.set_eip(0x1000);
+    extra(&mut m);
+    m.run(1_000_000);
+    assert!(m.is_halted(), "program never finished");
+    (m, tracer)
+}
+
+#[test]
+fn data_stores_beside_code_keep_translated_blocks_cached() {
+    // The loop stores to a data word on its own 512-byte code page on
+    // every iteration. SMC tracking is word-precise, so those stores
+    // must not invalidate the loop's block. After 500 iterations the
+    // guest patches the loop body (`addi r2, 1` -> `addi r2, 2`) on the
+    // same page: that store must invalidate, and the patched code run.
+    let patched = assemble("addi r2, 2\n", 0).unwrap();
+    let word = u32::from_le_bytes(patched.bytes[0..4].try_into().unwrap());
+    let source = format!(
+        "main:\n movi r1, data\n movi r4, patch\n movi r5, {word:#010x}\n movi r2, 0\n jmp loop\n\
+         loop:\n stw [r1], r2\npatch:\n addi r2, 1\n cmpi r2, 500\n jnz loop\n\
+         cmpi r3, 0\n jnz done\n movi r3, 1\n stw [r4], r5\n movi r2, 0\n jmp loop\n\
+         done:\n hlt\n\
+         data:\n .word 0\n"
+    );
+    let program = assemble(&source, 0x1000).unwrap();
+    let data = program.symbol("data").unwrap();
+    assert_eq!(data >> 9, 0x1000 >> 9, "data must share the code page");
+    lockstep(
+        |m| {
+            m.load_image(0x1000, &program.bytes).unwrap();
+            m.set_eip(0x1000);
+        },
+        16,
+        1_009,
+    );
+
+    let (mut m, tracer) = translated_counters(&source, |_| {});
+    // First pass: r2 = 0..499 stored; second pass (patched): 0, 2, .., 498.
+    assert_eq!(m.read_word(data).unwrap(), 498, "patched code never ran");
+    assert_eq!(m.reg(Reg::R2), 500);
+    let c = tracer.counters();
+    assert_eq!(
+        c.get("emu_block_invalidate_smc").unwrap_or(0),
+        1,
+        "only the code patch may invalidate"
+    );
+    // 500 + 250 iterations, each pass compiling its loop block once.
+    assert!(
+        c.get("emu_block_hit").unwrap_or(0) >= 499 + 249,
+        "loop not cached"
+    );
+}
+
+#[test]
+fn word_write_straddling_two_pages_invalidates_code_on_the_second() {
+    // The subroutine's first instruction opens the page at 0x1200. The
+    // guest stores a word at 0x11FE: its low half lands on a data word
+    // of the caller's page, its high half on the subroutine's `addi`
+    // immediate, turning `addi r5, 1` into `addi r5, 2`.
+    let main = "main:\n movi r1, 0x11fe\n movi r2, 0x0002beef\n\
+                call 0x1200\n stw [r1], r2\n call 0x1200\n hlt\n";
+    let sub = assemble("addi r5, 1\n ret\n", 0x1200).unwrap();
+    let setup = |m: &mut Machine| {
+        m.load_image(0x1200, &sub.bytes).unwrap();
+        m.set_reg(Reg::R7, 0x8000);
+    };
+    lockstep(
+        |m| {
+            let program = assemble(main, 0x1000).unwrap();
+            m.load_image(0x1000, &program.bytes).unwrap();
+            m.set_eip(0x1000);
+            setup(m);
+        },
+        4,
+        997,
+    );
+    let (m, tracer) = translated_counters(main, setup);
+    assert_eq!(
+        m.reg(Reg::R5),
+        1 + 2,
+        "stale subroutine ran after the patch"
+    );
+    assert_eq!(
+        tracer
+            .counters()
+            .get("emu_block_invalidate_smc")
+            .unwrap_or(0),
+        1
+    );
 }

@@ -14,7 +14,11 @@
 //!   pending IRQs) must match at every boundary,
 //! - the EA-MPU decision logs (query + decision, including rule slots)
 //!   must be byte-identical,
-//! - the final RAM digests must match.
+//! - the final RAM digests must match,
+//! - on the half of the cases that have a [`monitor_region`], where
+//!   [`run_diff`] attaches a control-flow monitor over the program, the
+//!   monitors' run logs, edge counts, truncation flags and chain heads
+//!   must match at every boundary.
 //!
 //! Two drive modes: [`run_diff`] exercises the real run loops
 //! (IRQ delivery, device polling, batching, block compilation and
@@ -24,6 +28,7 @@
 //! that caused it.
 
 use crate::gen::{setup_rules, words_to_bytes, CaseSetup};
+use eampu::Region;
 use sp_emu::devices::Timer;
 use sp_emu::{EngineKind, Event, Machine, MachineConfig};
 
@@ -84,6 +89,41 @@ pub fn build_machines(setup: &CaseSetup) -> Vec<Machine> {
     ENGINES.map(|engine| build_machine(setup, engine)).into()
 }
 
+/// The code region [`run_diff`] monitors the control flow of: the
+/// program, on a fixed half of the cases keyed on a hash of the program
+/// words (so a replayed case always lands on the same side).
+pub fn monitor_region(setup: &CaseSetup) -> Option<Region> {
+    let hash = setup.words.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+        (h ^ u64::from(w)).wrapping_mul(0x100_0000_01b3)
+    });
+    (hash >> 32 & 1 == 0).then(|| Region::new(setup.origin, setup.words.len() as u32 * 4))
+}
+
+/// Compares the control-flow monitors of every machine against the
+/// reference's (both absent on unmonitored cases).
+fn compare_monitors(at: &str, machines: &[Machine]) -> Result<(), String> {
+    let summary = |m: &Machine| {
+        m.cf_monitor()
+            .map(|c| (c.runs().to_vec(), c.edges(), c.truncated(), c.chain_head()))
+    };
+    let brief = |m: &Machine| {
+        m.cf_monitor()
+            .map(|c| (c.runs().len(), c.edges(), c.truncated()))
+    };
+    let reference = summary(&machines[0]);
+    for m in &machines[1..] {
+        if summary(m) != reference {
+            return Err(format!(
+                "CF monitor divergence at {at}: {:?} (runs, edges, truncated) {:?} vs legacy {:?}",
+                m.engine(),
+                brief(m),
+                brief(&machines[0]),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Compares the observable state of one machine against the legacy
 /// reference; `at` names the boundary for the failure message.
 pub fn compare_state(at: &str, m: &Machine, legacy: &Machine) -> Result<(), String> {
@@ -111,11 +151,13 @@ pub fn compare_state(at: &str, m: &Machine, legacy: &Machine) -> Result<(), Stri
     Ok(())
 }
 
-/// Compares every non-reference machine's state against the reference
-/// (`machines[0]`), consuming all decision logs. The reference log is
-/// taken once up front (taking drains), so every participant is held
-/// against the same record sequence.
+/// Compares every non-reference machine's state and control-flow
+/// monitor against the reference (`machines[0]`), consuming all
+/// decision logs. The reference log is taken once up front (taking
+/// drains), so every participant is held against the same record
+/// sequence.
 pub fn compare_all(at: &str, machines: &[Machine]) -> Result<(), String> {
+    compare_monitors(at, machines)?;
     let (legacy, rest) = machines.split_first().expect("at least the reference");
     let sl = legacy.snapshot();
     let dl = legacy.mpu().take_decision_log();
@@ -157,10 +199,16 @@ fn compare_ram(machines: &[Machine]) -> Result<(), String> {
 }
 
 /// Drives the set through their *run loops* in identical chunks,
-/// comparing events, state, and EA-MPU decisions at every boundary and
-/// RAM at the end.
+/// comparing events, state, EA-MPU decisions and (on cases with a
+/// [`monitor_region`]) control-flow monitors at every boundary and RAM
+/// at the end.
 pub fn run_diff(setup: &CaseSetup) -> Result<(), String> {
     let mut machines = build_machines(setup);
+    if let Some(region) = monitor_region(setup) {
+        for m in &mut machines {
+            m.attach_cf_monitor(region);
+        }
+    }
     let start = machines[0].cycles();
     let mut boundary = 0u64;
     loop {
@@ -226,6 +274,31 @@ mod tests {
             let setup = gen_setup(&mut FuzzRng::new(seed));
             run_diff(&setup).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
+    }
+
+    #[test]
+    fn monitored_cases_are_a_deterministic_share_that_records_edges() {
+        let setups: Vec<CaseSetup> = (0..200)
+            .map(|seed| gen_setup(&mut FuzzRng::new(seed)))
+            .collect();
+        let monitored: Vec<(&CaseSetup, Region)> = setups
+            .iter()
+            .filter_map(|s| Some((s, monitor_region(s)?)))
+            .collect();
+        assert!(
+            (50..150).contains(&monitored.len()),
+            "{} of 200 cases monitored",
+            monitored.len()
+        );
+        // Some monitored case must actually take a taken edge, or the
+        // monitor comparison would hold vacuously.
+        let recorded = monitored.iter().any(|&(s, region)| {
+            let mut m = build_machine(s, EngineKind::Translated);
+            m.attach_cf_monitor(region);
+            m.run(s.budget);
+            m.cf_monitor().is_some_and(|c| c.edges() > 0)
+        });
+        assert!(recorded, "no monitored case recorded an edge");
     }
 
     #[test]
