@@ -6,7 +6,7 @@
 //!
 //! - `--json`: additionally emits the same data as JSON — paper value,
 //!   measured value, and unit per row, the host-side simulation rate
-//!   (`host_guest_ips`), the fast-path cache counters, and the latency
+//!   (`host_guest_ips`), the host-cache counters, and the latency
 //!   histogram summaries of the observed workload — and writes it to
 //!   `BENCH_tables.json` in the current directory.
 //! - `--check`: validates the JSON document against the checked-in schema
@@ -25,7 +25,7 @@
 //!   `flamegraph.pl` or speedscope); prints the top cycle consumers and
 //!   symbolization coverage to stderr.
 //! - `--engine-floor <x>`: asserts the block translator's speedup over the
-//!   fast interpreter (the `translator speedup` row of the
+//!   legacy reference loop (the `translator speedup vs legacy` row of the
 //!   `engine_throughput` table) is at least `<x>`, exiting nonzero
 //!   otherwise. Implies computing the document.
 
@@ -120,15 +120,21 @@ fn main() {
             let speedup = tables
                 .iter()
                 .find(|t| t.id == "engine_throughput")
-                .and_then(|t| t.rows.iter().find(|r| r.label == "translator speedup"))
+                .and_then(|t| {
+                    t.rows
+                        .iter()
+                        .find(|r| r.label == "translator speedup vs legacy")
+                })
                 .map(|r| r.measured);
             match speedup {
                 Some(speedup) if speedup >= floor => {
-                    eprintln!("engine floor passed: translator speedup {speedup:.2}x >= {floor}x");
+                    eprintln!(
+                        "engine floor passed: translator speedup vs legacy {speedup:.2}x >= {floor}x"
+                    );
                 }
                 Some(speedup) => {
                     eprintln!(
-                        "engine floor FAILED: translator speedup {speedup:.2}x < required {floor}x"
+                        "engine floor FAILED: translator speedup vs legacy {speedup:.2}x < required {floor}x"
                     );
                     std::process::exit(1);
                 }

@@ -205,7 +205,6 @@ mod tests {
             r#"{
               "host_guest_ips": 1000000,
               "counters": {
-                "predecode_hit_rate": 0.97,
                 "eampu_cache_hit_rate": 0.99,
                 "emu_block_compile": 12,
                 "emu_block_hit": 480,
@@ -280,13 +279,13 @@ mod tests {
     #[test]
     fn missing_counter_is_reported() {
         let errors = check_bench_tables(&doc(|s| {
-            *s = s.replace("predecode_hit_rate", "predecode_hits")
+            *s = s.replace("eampu_cache_hit_rate", "eampu_cache_hits")
         }))
         .unwrap_err();
         assert!(
             errors
                 .iter()
-                .any(|e| e.contains("predecode_hit_rate") && e.contains("missing")),
+                .any(|e| e.contains("eampu_cache_hit_rate") && e.contains("missing")),
             "{errors:?}"
         );
     }

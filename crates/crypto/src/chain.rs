@@ -41,7 +41,7 @@
 //!
 //! The chain is deliberately engine-agnostic: it consumes architectural
 //! `(from, to)` pc pairs, never cycle counts or block boundaries, so
-//! all three execution engines produce byte-identical heads for the
+//! both execution engines produce byte-identical heads for the
 //! same guest run.
 
 use crate::sha1;

@@ -16,11 +16,12 @@
 //!
 //! - **Boundary preservation.** The outer loop of
 //!   [`Machine::run_translated`] performs the exact poll → deliver →
-//!   trap → halt → budget sequence of the fast interpreter; block
-//!   execution only replaces the batched-step inner loop, and checks
-//!   the same batch-break conditions after every retired op. Blocks
-//!   end at every control transfer and stop before firmware-trap
-//!   addresses, so a boundary can never be crossed mid-block.
+//!   trap → halt → budget sequence of the legacy loop; block
+//!   execution only batches the instructions between two boundaries,
+//!   and checks the batch-break conditions after every retired op.
+//!   Blocks end at every control transfer and stop before
+//!   firmware-trap addresses, so a boundary can never be crossed
+//!   mid-block.
 //! - **Pre-resolution soundness.** EA-MPU work is specialised at
 //!   compile time: a statically-resolvable check compiles to either
 //!   nothing (allowed and unobserved) or a [`EaMpu::replay_transfer`] /
@@ -36,7 +37,7 @@
 //!   a mask of the 4-byte words some block's code covers. A RAM write
 //!   into a covered word queues a dirty range
 //!   ([`TransState::note_code_write`], hooked into the machine's write
-//!   paths next to the predecode invalidation); writes to data words
+//!   paths); writes to data words
 //!   that merely share a page with code do not. Dirty ranges break the
 //!   block batch and drop overlapping blocks (counted as
 //!   `emu_block_invalidate_smc`) before the next block executes.
@@ -50,7 +51,7 @@
 //! Anything a block cannot express — `Int`/`Iret` (interrupt frames,
 //! resume latches, IRQ trace spans), undecodable or unfetchable code,
 //! MMIO-resident code — falls back to [`Machine::step`], which is the
-//! shared semantic core of all three engines.
+//! shared semantic core of both engines.
 
 use super::{instr_class, EngineKind, Event, Fault, Machine};
 use eampu::{AccessDecision, AccessKind, TransferDecision};
@@ -263,8 +264,8 @@ impl TransState {
     }
 
     /// Notes a RAM write of `last_offset + 1` bytes at `addr` (called
-    /// from the machine's write paths, beside the predecode
-    /// invalidation). Queues a dirty range when the write touches a
+    /// from the machine's write paths). Queues a dirty range when the
+    /// write touches a
     /// word covered by compiled code; the page bitmap filters first.
     pub(crate) fn note_code_write(&mut self, addr: u32, last_offset: u32) {
         if !self.any_pages {
@@ -667,9 +668,16 @@ impl Machine {
         self.step()
     }
 
-    /// The translated run loop: boundary-identical to
-    /// [`Machine::run_fast`], with the batched-step inner loop replaced
-    /// by block execution whenever no IRQ is pending.
+    /// The translated run loop, equivalent to [`Machine::run_legacy`]
+    /// boundary by boundary. The outer iteration performs the same poll
+    /// → deliver → trap → halt → budget sequence; the inner loop runs
+    /// compiled blocks (or, while an IRQ is pending, single steps) for
+    /// as long as none of those boundary actions could do anything.
+    /// Per-instruction polling is replaced by the cached
+    /// `device_deadline`, which [`Device::next_event`](crate::Device::next_event)
+    /// guarantees is the first boundary where a poll could matter, so
+    /// devices observe the exact same poll timeline the legacy loop
+    /// gives them.
     pub(crate) fn run_translated(&mut self, max_cycles: u64) -> Event {
         self.revalidate_translations();
         // Move the block map out of `self` for the duration of the run:
@@ -1204,6 +1212,44 @@ mod tests {
         t.flush();
         t.note_code_write(0x1000, 3);
         assert!(t.dirty.is_empty());
+    }
+
+    #[test]
+    fn zero_length_writes_keep_translated_blocks_cached() {
+        use std::sync::Arc;
+        use tytan_trace::{RingRecorder, Tracer};
+
+        let mut m = Machine::new(crate::MachineConfig {
+            engine: EngineKind::Translated,
+            ..crate::MachineConfig::default()
+        });
+        m.attach_tracer(Tracer::new(Arc::new(RingRecorder::new(64))));
+        let src = "main:\n movi r0, 0\nloop:\n addi r0, 1\n cmpi r0, 5\n jnz loop\n hlt\n";
+        let p = sp32::asm::assemble(src, 0x100).expect("assemble");
+        m.load_image(0x100, &p.bytes).expect("load");
+        m.set_eip(0x100);
+        m.run(1_000);
+        let counter = |m: &Machine, name| m.tracer().unwrap().counters().get(name).unwrap();
+        let compiled = counter(&m, "emu_block_compile");
+        let hits = counter(&m, "emu_block_hit");
+        assert!(compiled > 0, "run compiled blocks");
+        // A zero-length write touches no bytes. On a code page too, it
+        // must not turn `len - 1` into a whole-address-space range.
+        m.write_bytes(0x100, &[]).expect("empty write");
+        m.note_code_write(0, 0);
+        m.note_code_write(u32::MAX, 0);
+        assert!(
+            m.tcache.dirty.is_empty(),
+            "zero-length write queued a dirty range"
+        );
+        m.set_eip(0x100);
+        m.run(1_000);
+        assert_eq!(counter(&m, "emu_block_invalidate_smc"), 0);
+        assert_eq!(counter(&m, "emu_block_compile"), compiled);
+        assert!(
+            counter(&m, "emu_block_hit") > hits,
+            "rerun missed the block cache"
+        );
     }
 
     #[test]
